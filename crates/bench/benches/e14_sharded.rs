@@ -2,7 +2,7 @@
 //!
 //! The same closed-loop Zipf clients as E11, now through a
 //! `ShardedServer`: the coordinator decomposes each admitted round into
-//! per-shard sealed sub-rounds (parallel across shard writers) and
+//! per-shard sub-batches (applied in turn on the writer's pool) and
 //! resolves cross-shard queries through the contracted boundary graph.
 //! The matrix crosses the `DYNCON_SHARDS` shard matrix with the
 //! `DYNCON_THREADS` worker matrix; 1 shard is the degenerate baseline

@@ -655,8 +655,8 @@ fn e13(cfg: &Cfg) {
 }
 
 /// E14 — sharded serving: closed-loop throughput vs shard count ×
-/// worker thread count, plus the coordinator's own counters (sub-rounds
-/// sealed, boundary rebuilds, contracted edges) from the pooled
+/// worker thread count, plus the coordinator's own counters (shard
+/// sub-batches applied, boundary rebuilds, contracted edges) from the pooled
 /// registry. 1 shard is the degenerate baseline: all of the
 /// coordination overhead, none of the parallelism.
 fn e14(cfg: &Cfg) {

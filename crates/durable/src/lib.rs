@@ -25,12 +25,21 @@
 //!   committed, the workspace determinism contract upgrades recovery to
 //!   byte-equivalence: a backend recovered from an uncompacted log is
 //!   indistinguishable — results *and* internal labelling — from one
-//!   that never crashed (`tests/crash_recovery.rs`).
-//! * [`DurableServer`] — a [`dyncon_server::ConnServer`] wired to the
-//!   log through [`dyncon_server::ServerConfig::round_hook`]: each
-//!   sealed round is appended and fsynced *before* it is applied, so
-//!   group commit and group fsync coincide (one fsync per round, not per
-//!   request) and a resolved ticket implies durability.
+//!   that never crashed (`tests/crash_recovery.rs`). [`recover_onto`]
+//!   does the same onto a backend the caller builds empty (e.g. a
+//!   sharded ensemble).
+//! * [`WalAttachment`] — the one durability path of the serving layer:
+//!   it opens (recovers) a directory and wires a
+//!   [`dyncon_server::ConnServer`] to the log through
+//!   [`dyncon_server::ServerConfig::round_hook`]: each sealed round is
+//!   appended and fsynced *before* it is applied, so group commit and
+//!   group fsync coincide (one fsync per round, not per request) and a
+//!   resolved ticket implies durability. At join it syncs the log and
+//!   optionally compacts it.
+//! * [`DurableServer`] — a [`dyncon_server::ConnServer`] plus a
+//!   [`WalAttachment`]; a durable `dyncon-shard` server is the same
+//!   pairing over a sharded backend, logging each round once in global
+//!   ids.
 //! * [`DurableMetrics`] — WAL append bytes/latency, fsync counts, abort
 //!   and recovery-replay counters, snapshot timings, recorded into the
 //!   same `dyncon-metrics` registry as the serving metrics
@@ -54,8 +63,8 @@ mod snapshot;
 mod wal;
 
 pub use metrics::DurableMetrics;
-pub use recover::{compact, recover, recover_with, RoundMeta};
-pub use server::{DurableConfig, DurableReport, DurableServer};
+pub use recover::{compact, recover, recover_onto, recover_with, RoundMeta};
+pub use server::{DurableConfig, DurableReport, DurableServer, WalAttachment};
 pub use snapshot::{Snapshot, SNAPSHOT_FILE};
 pub use wal::{read_wal, FsyncPolicy, WalReadout, WalRecord, WalWriter, WAL_FILE};
 

@@ -45,7 +45,22 @@ pub fn recover<B: BatchDynamic + BuildFrom>(dir: &Path) -> Result<(B, RoundMeta)
 /// Rebuild a backend from the durable state in `dir`, passing the
 /// [`Builder`] through `configure` before construction (deletion
 /// algorithm, stats, …). The vertex count always comes from the
-/// snapshot; changing it in `configure` is ignored.
+/// snapshot; changing it in `configure` is ignored. See
+/// [`recover_onto`] for the replay semantics.
+pub fn recover_with<B: BatchDynamic + BuildFrom>(
+    dir: &Path,
+    configure: impl FnOnce(Builder) -> Builder,
+) -> Result<(B, RoundMeta), DynConError> {
+    recover_onto(dir, |num_vertices| {
+        let mut builder = configure(Builder::new(num_vertices));
+        builder.num_vertices = num_vertices;
+        B::build_from(&builder)
+    })
+}
+
+/// Rebuild the durable state in `dir` onto the empty backend
+/// `build(num_vertices)` returns, where `num_vertices` is the
+/// snapshot's: insert the snapshot's edges, then replay the WAL tail.
 ///
 /// Replay semantics: WAL records with `round < snapshot.next_round` are
 /// skipped (compaction crashed between snapshot rename and log truncate
@@ -53,9 +68,9 @@ pub fn recover<B: BatchDynamic + BuildFrom>(dir: &Path) -> Result<(B, RoundMeta)
 /// `snapshot.next_round` on are applied in order, one batch per round. A
 /// gap between the snapshot and the first replayable record, or within
 /// the records, is [`DynConError::Corrupt`].
-pub fn recover_with<B: BatchDynamic + BuildFrom>(
+pub fn recover_onto<B: BatchDynamic>(
     dir: &Path,
-    configure: impl FnOnce(Builder) -> Builder,
+    build: impl FnOnce(usize) -> Result<B, DynConError>,
 ) -> Result<(B, RoundMeta), DynConError> {
     let snapshot = Snapshot::load(dir)?.ok_or_else(|| DynConError::Storage {
         path: dir.display().to_string(),
@@ -63,9 +78,7 @@ pub fn recover_with<B: BatchDynamic + BuildFrom>(
     })?;
     let readout = read_wal(dir)?.unwrap_or_default();
 
-    let mut builder = configure(Builder::new(snapshot.num_vertices));
-    builder.num_vertices = snapshot.num_vertices;
-    let mut backend = B::build_from(&builder)?;
+    let mut backend = build(snapshot.num_vertices)?;
     if !snapshot.edges.is_empty() {
         backend.batch_insert(&snapshot.edges)?;
     }

@@ -1,23 +1,25 @@
 //! The durable group-commit frontend: a [`ConnServer`] whose every
 //! sealed round is appended (and fsynced, per policy) to the write-ahead
 //! log *before* it is applied — group commit and group fsync coincide.
+//! [`WalAttachment`] wires any [`ConnServer`] to the log;
+//! [`DurableServer`] is the pairing over a plain backend.
 
 use crate::metrics::DurableMetrics;
-use crate::recover::{recover_with, RoundMeta};
+use crate::recover::{recover_onto, RoundMeta};
 use crate::wal::{FsyncPolicy, WalWriter};
 use crate::Snapshot;
 use dyncon_api::{
     BatchDynamic, BuildFrom, Builder, DynConError, ExportEdges, Op, ReadView, Version,
     VersionedRead,
 };
-use dyncon_metrics::MetricsSnapshot;
+use dyncon_metrics::{MetricsSnapshot, Registry};
 use dyncon_server::{ConnServer, ReadHandle, ServerConfig, ServiceReport, SubmitOptions, Ticket};
 use dyncon_trace::Stage;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Durability knobs of a [`DurableServer`].
+/// Durability knobs of a [`WalAttachment`].
 #[derive(Clone, Debug)]
 pub struct DurableConfig {
     /// When WAL appends reach stable storage (default: every round).
@@ -49,7 +51,7 @@ impl DurableConfig {
         self
     }
 
-    /// Toggle compaction at [`DurableServer::join`].
+    /// Toggle compaction at join ([`WalAttachment::finish`]).
     pub fn compact_on_join(mut self, enabled: bool) -> Self {
         self.compact_on_join = enabled;
         self
@@ -68,8 +70,10 @@ pub struct DurableReport<B> {
     pub compacted: bool,
 }
 
-/// A [`ConnServer`] with an etcd-style durability spine: recover on
-/// open, write-ahead log every sealed round, snapshot on close.
+/// The write-ahead log a [`ConnServer`] is wired to: it recovers the
+/// durable directory at [`WalAttachment::open`], installs the WAL hooks
+/// on the server's [`ServerConfig`], and syncs (and optionally
+/// compacts) the log at [`WalAttachment::finish`].
 ///
 /// The round hook ties the two layers together: the server's writer
 /// thread calls it once per commit round, after the round's operations
@@ -78,37 +82,35 @@ pub struct DurableReport<B> {
 /// round coalesced. A ticket that resolves successfully therefore
 /// implies its round is as durable as the fsync policy promises.
 ///
-/// Submission, sealing and shutdown all delegate to [`ConnServer`]; see
-/// `examples/durable_service.rs` for the end-to-end crash/recover loop.
-pub struct DurableServer<B>
-where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
-{
-    inner: ConnServer<B>,
+/// [`DurableServer`] is a [`ConnServer`] plus this attachment; a
+/// durable sharded server is the same pairing over a sharded backend.
+pub struct WalAttachment {
     wal: Arc<Mutex<WalWriter>>,
     metrics: Arc<DurableMetrics>,
-    registry: dyncon_metrics::Registry,
+    registry: Registry,
     dir: PathBuf,
     compact_on_join: bool,
+    meta: RoundMeta,
 }
 
-impl<B> DurableServer<B>
-where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
-{
-    /// Open the durable directory `dir` and start serving.
+impl WalAttachment {
+    /// Open the durable directory `dir` for serving.
     ///
     /// A fresh (or empty) directory is initialized to an empty graph
-    /// over `num_vertices` vertices; an existing one is recovered
-    /// (snapshot + WAL replay) and `num_vertices` must match the
-    /// snapshot. Any `round_hook` already present in `config` is
-    /// replaced by the WAL hook.
-    pub fn open(
+    /// over `num_vertices` vertices; an existing one is recovered onto
+    /// the empty backend `build` returns (snapshot + WAL replay, see
+    /// [`recover_onto`]), and `num_vertices` must match the snapshot.
+    /// Returns the attachment, the recovered backend, and `config` with
+    /// the WAL hooks installed (any `round_hook`/`round_abort` already
+    /// present is replaced) and the durability metrics pooled in its
+    /// registry.
+    pub fn open<B: BatchDynamic>(
         dir: &Path,
         num_vertices: usize,
         config: ServerConfig,
-        durable: DurableConfig,
-    ) -> Result<(Self, RoundMeta), DynConError> {
+        durable: &DurableConfig,
+        build: impl FnOnce() -> Result<B, DynConError>,
+    ) -> Result<(Self, B, ServerConfig), DynConError> {
         std::fs::create_dir_all(dir).map_err(|e| crate::wal::storage_err(dir, e))?;
         if Snapshot::load(dir)?.is_none() {
             // First open: make the vertex universe durable immediately so
@@ -121,12 +123,14 @@ where
             }
             .write_atomic(dir)?;
         }
-        let (backend, meta) = recover_with::<B>(dir, |b| b)?;
-        if backend.num_vertices() != num_vertices {
-            return Err(DynConError::InvalidVertexCount {
-                requested: num_vertices,
-            });
-        }
+        let (backend, meta) = recover_onto(dir, |n| {
+            if n != num_vertices {
+                return Err(DynConError::InvalidVertexCount {
+                    requested: num_vertices,
+                });
+            }
+            build()
+        })?;
         // Pool the durability metrics in the caller's registry when one
         // was passed; otherwise create one registry for both layers, so
         // the service report always shows the whole stack.
@@ -219,6 +223,96 @@ where
             // replicas agree on version numbering across lifetimes. The
             // recovered state itself is version `next_round - 1`.
             .first_version(meta.next_round);
+        let attachment = Self {
+            wal,
+            metrics,
+            registry,
+            dir: dir.to_path_buf(),
+            compact_on_join: durable.compact_on_join,
+            meta,
+        };
+        Ok((attachment, backend, config))
+    }
+
+    /// What recovery found at [`WalAttachment::open`].
+    pub(crate) fn meta(&self) -> &RoundMeta {
+        &self.meta
+    }
+
+    /// Round id the next sealed round will be logged as.
+    pub(crate) fn next_round(&self) -> u64 {
+        self.wal
+            .lock()
+            .expect("WAL writer lock poisoned")
+            .next_round()
+    }
+
+    /// Force every logged round onto stable storage regardless of the
+    /// fsync policy.
+    pub(crate) fn sync(&self) -> Result<(), DynConError> {
+        self.wal.lock().expect("WAL writer lock poisoned").sync()
+    }
+
+    /// Call after the server joined, with its final `backend`: make the
+    /// log durable and (per [`DurableConfig::compact_on_join`]) compact
+    /// it into a snapshot of `backend`. Returns the round id the next
+    /// process will continue logging at.
+    pub fn finish<B: ExportEdges>(&self, backend: &B) -> Result<u64, DynConError> {
+        let mut wal = self.wal.lock().expect("WAL writer lock poisoned");
+        let fsyncs_before = wal.fsync_count();
+        // Under lax fsync policies the final rounds may still be in
+        // the page cache; an orderly shutdown always lands them.
+        wal.sync()?;
+        let next_round = wal.next_round();
+        if self.compact_on_join {
+            // Same two steps as `crate::compact`, but on the writer we
+            // already hold — no recovery-scale rescan of the log it is
+            // about to empty.
+            let started = Instant::now();
+            Snapshot::capture(backend, next_round).write_atomic(&self.dir)?;
+            wal.reset()?;
+            self.metrics
+                .snapshot_write_ns
+                .record_duration(started.elapsed());
+        }
+        self.metrics
+            .wal_fsyncs
+            .add(wal.fsync_count() - fsyncs_before);
+        Ok(next_round)
+    }
+}
+
+/// A [`ConnServer`] with an etcd-style durability spine: recover on
+/// open, write-ahead log every sealed round, snapshot on close — a
+/// [`ConnServer`] plus a [`WalAttachment`].
+///
+/// Submission, sealing and shutdown all delegate to [`ConnServer`]; see
+/// `examples/durable_service.rs` for the end-to-end crash/recover loop.
+pub struct DurableServer<B>
+where
+    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
+{
+    inner: ConnServer<B>,
+    wal: WalAttachment,
+}
+
+impl<B> DurableServer<B>
+where
+    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
+{
+    /// Open the durable directory `dir` and start serving (see
+    /// [`WalAttachment::open`]). An existing directory's snapshot must
+    /// hold `num_vertices` vertices.
+    pub fn open(
+        dir: &Path,
+        num_vertices: usize,
+        config: ServerConfig,
+        durable: DurableConfig,
+    ) -> Result<(Self, RoundMeta), DynConError> {
+        let (wal, backend, config) =
+            WalAttachment::open(dir, num_vertices, config, &durable, || {
+                Builder::new(num_vertices).build()
+            })?;
         // Versioned reads opt in via `retain_views`; left at 0, the
         // serving layer skips view publication entirely (no per-round
         // export cost).
@@ -227,17 +321,8 @@ where
         } else {
             ConnServer::start(backend, config)
         };
-        Ok((
-            Self {
-                inner,
-                wal,
-                metrics,
-                registry,
-                dir: dir.to_path_buf(),
-                compact_on_join: durable.compact_on_join,
-            },
-            meta,
-        ))
+        let meta = wal.meta().clone();
+        Ok((Self { inner, wal }, meta))
     }
 
     /// The backend's vertex universe.
@@ -265,10 +350,7 @@ where
 
     /// Round id the next sealed round will be logged as.
     pub fn next_round(&self) -> u64 {
-        self.wal
-            .lock()
-            .expect("WAL writer lock poisoned")
-            .next_round()
+        self.wal.next_round()
     }
 
     /// See [`ConnServer::submit`].
@@ -358,42 +440,22 @@ where
     /// Force every logged round onto stable storage regardless of the
     /// fsync policy.
     pub fn sync(&self) -> Result<(), DynConError> {
-        self.wal.lock().expect("WAL writer lock poisoned").sync()
+        self.wal.sync()
     }
 
     /// Drain, stop, make the log durable, and (per
     /// [`DurableConfig::compact_on_join`]) compact it into a snapshot.
     pub fn join(self) -> Result<DurableReport<B>, DynConError> {
         let mut service = self.inner.join();
-        let mut wal = self.wal.lock().expect("WAL writer lock poisoned");
-        let fsyncs_before = wal.fsync_count();
-        // Under lax fsync policies the final rounds may still be in
-        // the page cache; an orderly shutdown always lands them.
-        wal.sync()?;
-        let next_round = wal.next_round();
-        if self.compact_on_join {
-            // Same two steps as `crate::compact`, but on the writer we
-            // already hold — no recovery-scale rescan of the log it is
-            // about to empty.
-            let started = Instant::now();
-            crate::Snapshot::capture(&service.backend, next_round).write_atomic(&self.dir)?;
-            wal.reset()?;
-            self.metrics
-                .snapshot_write_ns
-                .record_duration(started.elapsed());
-        }
-        self.metrics
-            .wal_fsyncs
-            .add(wal.fsync_count() - fsyncs_before);
-        drop(wal);
+        let next_round = self.wal.finish(&service.backend)?;
         // Re-freeze: the inner join snapshotted before the final sync
         // and compaction, whose fsyncs and snapshot timing belong in the
         // report too.
-        service.metrics = self.registry.snapshot();
+        service.metrics = self.wal.registry.snapshot();
         Ok(DurableReport {
             service,
             next_round,
-            compacted: self.compact_on_join,
+            compacted: self.wal.compact_on_join,
         })
     }
 }

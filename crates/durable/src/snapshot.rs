@@ -132,8 +132,10 @@ impl Snapshot {
         }
         let num_vertices = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes")) as usize;
         let next_round = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-        let num_edges = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes")) as usize;
-        if body.len() != 24 + num_edges * 8 {
+        // The count is untrusted (the checksum is not a MAC): size it with
+        // checked arithmetic so a crafted header cannot overflow.
+        let num_edges = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
+        if num_edges.checked_mul(8).and_then(|b| b.checked_add(24)) != Some(body.len() as u64) {
             return Err(corrupt(16, "edge count disagrees with body length"));
         }
         let edges = body[24..]
@@ -239,6 +241,30 @@ mod tests {
             Err(DynConError::Corrupt { offset, detail, .. }) => {
                 assert_eq!(offset, 0);
                 assert!(detail.contains("magic"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_edge_count_is_corrupt_not_a_panic() {
+        // A checksum-valid header whose edge count overflows the body
+        // size computation (2^61 + 1 edges × 8 bytes wraps to 8).
+        let dir = scratch("snap-overflow");
+        let path = dir.join(SNAPSHOT_FILE);
+        let mut body = Vec::new();
+        for word in [8u64, 0, (1 << 61) + 1] {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        body.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0]);
+        let mut crafted = SNAP_MAGIC.to_vec();
+        crafted.extend_from_slice(&body);
+        crafted.extend_from_slice(&body_checksum(&body).to_le_bytes());
+        std::fs::write(&path, &crafted).unwrap();
+        match Snapshot::load(&dir) {
+            Err(DynConError::Corrupt { offset, detail, .. }) => {
+                assert_eq!(offset, 16);
+                assert!(detail.contains("edge count"), "{detail}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }

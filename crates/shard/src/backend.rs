@@ -1,12 +1,12 @@
 //! The shard coordinator as a composable backend.
 //!
 //! [`ShardedBackend`] implements the workspace's own trait surface
-//! ([`Connectivity`] + [`BatchDynamic`] + [`ExportEdges`]) over N
-//! per-shard servers plus a cross-edge store, so the whole sharded
+//! ([`Connectivity`] + [`BatchDynamic`] + [`ExportEdges`]) over N plain
+//! per-shard backends plus a cross-edge store, so the whole sharded
 //! ensemble drops into anything that takes a backend — differential test
-//! panels, snapshots, and (the intended use) an outer
-//! [`ConnServer`](dyncon_server::ConnServer), which is exactly what
-//! [`crate::ShardedServer`] wraps it in.
+//! panels, snapshots, recovery, and (the intended use) the serving
+//! layer's writer, which is exactly where [`crate::ShardedServer`] runs
+//! it.
 
 use crate::map::ShardMap;
 use crate::metrics::ShardMetrics;
@@ -15,99 +15,11 @@ use dyncon_api::{
     component_groups, validate_vertex, BatchDynamic, BatchResult, BuildFrom, Builder, Connectivity,
     DynConError, ExportEdges, Op, OpKind,
 };
-use dyncon_durable::{DurableConfig, DurableServer};
 use dyncon_metrics::Registry;
-use dyncon_server::{ConnServer, ServerConfig, Ticket};
 use dyncon_trace::{Stage, TraceRecorder};
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// The client id the coordinator submits every sub-batch under. The
-/// coordinator is each shard server's *only* client, so canonical order
-/// within a shard round is simply the coordinator's submission order.
-const COORDINATOR: u64 = 0;
-
-/// One shard's serving stack: an in-memory [`ConnServer`] or a
-/// [`DurableServer`] with its own WAL/snapshot directory. Both run in
-/// deterministic mode with the coordinator as sole client — a shard
-/// round *is* one coordinator sub-batch, sealed explicitly.
-enum ShardHandle<B>
-where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
-{
-    Mem(Box<ConnServer<B>>),
-    Durable(Box<DurableServer<B>>),
-}
-
-impl<B> ShardHandle<B>
-where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
-{
-    fn submit_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        match self {
-            ShardHandle::Mem(s) => s.submit_as(client, ops),
-            ShardHandle::Durable(s) => s.submit_as(client, ops),
-        }
-    }
-
-    fn seal_round(&self) -> usize {
-        match self {
-            ShardHandle::Mem(s) => s.seal_round(),
-            ShardHandle::Durable(s) => s.seal_round(),
-        }
-    }
-
-    fn inspect<R, F>(&self, f: F) -> Result<R, DynConError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&B) -> R + Send + 'static,
-    {
-        match self {
-            ShardHandle::Mem(s) => s.inspect(f),
-            ShardHandle::Durable(s) => s.inspect(f),
-        }
-    }
-
-    fn join(self) -> Result<ShardShutdown<B>, DynConError> {
-        match self {
-            ShardHandle::Mem(s) => {
-                let report = s.join();
-                Ok(ShardShutdown {
-                    backend: report.backend,
-                    rounds_committed: report.rounds_committed,
-                    ops_committed: report.ops_committed,
-                    next_round: None,
-                })
-            }
-            ShardHandle::Durable(s) => {
-                let report = s.join()?;
-                Ok(ShardShutdown {
-                    backend: report.service.backend,
-                    rounds_committed: report.service.rounds_committed,
-                    ops_committed: report.service.ops_committed,
-                    next_round: Some(report.next_round),
-                })
-            }
-        }
-    }
-}
-
-/// What one shard hands back at [`ShardedBackend::shutdown`].
-#[derive(Debug)]
-pub struct ShardShutdown<B> {
-    /// The shard's backend over its **local** id space (translate via
-    /// [`ShardMap::globals`]).
-    pub backend: B,
-    /// Sub-rounds this shard committed during this process lifetime.
-    pub rounds_committed: u64,
-    /// Operations this shard committed.
-    pub ops_committed: u64,
-    /// Durable shards: the round id the next open continues logging at.
-    /// `None` for in-memory shards.
-    pub next_round: Option<u64>,
-}
 
 /// The lazily rebuilt contraction of cross-shard connectivity.
 ///
@@ -148,174 +60,73 @@ impl<B> BoundaryCache<B> {
 
 /// A sharded connectivity backend: the vertex universe is partitioned by
 /// a deterministic [`ShardMap`], intra-shard edges live in per-shard
-/// backends behind their own single-writer servers, cross-shard edges
-/// live in a dedicated store, and global reachability is recombined
-/// through the contracted boundary graph:
+/// backends over dense local ids, cross-shard edges live in a dedicated
+/// store, and global reachability is recombined through the contracted
+/// boundary graph:
 ///
 /// `u ~ v` globally iff they are locally connected in one shard, **or**
 /// each is locally connected to some boundary component whose nodes are
 /// connected in the contraction of the cross-edge set.
 ///
-/// Mutations decompose into at most one sealed commit round per shard
-/// per mutation segment (runs of non-query ops), executed in parallel by
-/// the shards' own writer threads; queries resolve locally first and
-/// fall back to the boundary graph. Determinism is end-to-end: canonical
-/// shard iteration order, per-shard sealed rounds in deterministic mode,
-/// and canonical boundary construction order make every
-/// [`BatchResult`] byte-identical across thread and shard counts.
+/// Each mutation segment (a run of non-query ops) decomposes into at
+/// most one sub-batch per shard plus one for the cross store, applied
+/// with [`BatchDynamic::apply`] in canonical shard order on the caller's
+/// thread; each apply uses the caller's whole rayon pool inside its
+/// batch ops. Queries resolve locally first and fall back to the
+/// boundary graph. Determinism is end-to-end: canonical shard order,
+/// order-preserving decomposition and canonical boundary construction
+/// make every [`BatchResult`] byte-identical across thread and shard
+/// counts.
 ///
-/// ### Caveat: no cross-shard atomic commit
-///
-/// A mutation segment that fails mid-way (e.g. one durable shard's WAL
-/// hits a storage error) leaves the sub-rounds already committed by
-/// *other* shards applied — the documented partial-application semantics
-/// of [`BatchDynamic::apply`], per sub-batch instead of per run.
-/// Two-phase commit across shard WALs is future work.
-pub struct ShardedBackend<B>
-where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
-{
+/// A sub-batch that fails mid-segment leaves the sub-batches before it
+/// applied — the partial-application semantics of
+/// [`BatchDynamic::apply`], per sub-batch instead of per run. Durable
+/// serving logs the whole round before applying it, so a crash
+/// never leaves such a prefix on disk.
+pub struct ShardedBackend<B> {
     map: ShardMap,
-    shards: Vec<ShardHandle<B>>,
+    shards: Vec<B>,
     /// The cross-edge store: a B over the full **global** universe that
     /// holds exactly the edges whose endpoints live on different shards.
-    /// Running it as a server (durable in durable mode) gives cross
-    /// edges the same round/recovery semantics as shard edges.
-    cross: ShardHandle<B>,
+    cross: B,
     boundary: Mutex<BoundaryCache<B>>,
     metrics: Arc<ShardMetrics>,
-    /// The outer server's recorder (shared, not the shards'): the
-    /// coordinator runs inside the outer writer's apply, so spans are
-    /// attributed to [`TraceRecorder::current_round`], which that writer
-    /// sets before each round.
-    trace: Option<TraceRecorder>,
-    supports: [bool; 3],
-}
-
-fn storage_err(path: &Path, e: std::io::Error) -> DynConError {
-    DynConError::Storage {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    }
-}
-
-/// The durable topology manifest: shard assignment is part of durable
-/// state, so reopening a base directory with a different vertex count,
-/// shard count, or map kind must fail loudly instead of scattering the
-/// recovered edges across a different partition.
-fn check_manifest(base: &Path, map: &ShardMap) -> Result<(), DynConError> {
-    let path = base.join("shard.manifest");
-    let expect = format!(
-        "dyncon-shard-v1\nnum_vertices={}\nshards={}\nkind={:?}\n",
-        map.num_vertices(),
-        map.num_shards(),
-        map.kind()
-    );
-    match std::fs::read_to_string(&path) {
-        Ok(found) if found == expect => Ok(()),
-        Ok(found) => Err(DynConError::Corrupt {
-            path: path.display().to_string(),
-            offset: 0,
-            detail: format!(
-                "shard topology mismatch: directory was created as {:?}, reopened as {:?}",
-                found.lines().skip(1).collect::<Vec<_>>(),
-                expect.lines().skip(1).collect::<Vec<_>>()
-            ),
-        }),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::create_dir_all(base).map_err(|e| storage_err(base, e))?;
-            let tmp = base.join("shard.manifest.tmp");
-            std::fs::write(&tmp, &expect).map_err(|e| storage_err(&tmp, e))?;
-            std::fs::rename(&tmp, &path).map_err(|e| storage_err(&path, e))?;
-            Ok(())
-        }
-        Err(e) => Err(storage_err(&path, e)),
-    }
+    /// The serving writer's recorder, attached by
+    /// [`crate::ShardedServer`]: the coordinator runs inside that
+    /// writer's apply, so spans are attributed to
+    /// [`TraceRecorder::current_round`], which the writer sets before
+    /// each round.
+    pub(crate) trace: Option<TraceRecorder>,
 }
 
 impl<B> ShardedBackend<B>
 where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
+    B: BatchDynamic + BuildFrom + ExportEdges,
 {
-    /// Partition `num_vertices` per `config` and start every shard
-    /// server (plus the cross-edge store), pooling all their metrics in
-    /// `registry`. With [`ShardConfig::durable`] set, each shard opens
-    /// (and recovers) its own WAL/snapshot directory under the base dir.
-    pub fn start(
+    /// Partition `num_vertices` per `config` and build every shard's
+    /// backend (plus the cross-edge store) empty, registering the
+    /// coordinator metrics in `registry`.
+    pub fn new(
         num_vertices: usize,
         config: &ShardConfig,
         registry: Registry,
     ) -> Result<Self, DynConError> {
         let map = ShardMap::new(num_vertices, config.shards, config.kind)?;
-        // Probe B's static capabilities once, so admission layers above
-        // can filter without a live instance.
-        let probe: B = Builder::new(1).build()?;
-        let supports =
-            [OpKind::Insert, OpKind::Delete, OpKind::Query].map(|kind| probe.supports(kind));
-        drop(probe);
-        let metrics = ShardMetrics::register(&registry);
-        let server_config = || {
-            // Always deterministic: a shard round is one coordinator
-            // sub-batch, sealed explicitly — required for byte-identical
-            // per-shard WAL replay, and free (sole client, no reordering).
-            let c = ServerConfig::new()
-                .deterministic(true)
-                .queue_capacity(2)
-                .metrics(registry.clone());
-            match config.shard_worker_threads {
-                Some(t) => c.worker_threads(t),
-                None => c,
-            }
-        };
-        let mut shards = Vec::with_capacity(map.num_shards());
-        let cross = match &config.durable {
-            None => {
-                for s in 0..map.num_shards() {
-                    // A hash partition can leave a shard without vertices;
-                    // its backend still needs a non-empty universe (one
-                    // dummy vertex no operation ever routes to).
-                    let b: B = Builder::new(map.shard_size(s).max(1)).build()?;
-                    shards.push(ShardHandle::Mem(Box::new(ConnServer::start(
-                        b,
-                        server_config(),
-                    ))));
-                }
-                let b: B = Builder::new(num_vertices).build()?;
-                ShardHandle::Mem(Box::new(ConnServer::start(b, server_config())))
-            }
-            Some(d) => {
-                check_manifest(&d.dir, &map)?;
-                let durable_config = DurableConfig::new()
-                    .fsync(d.fsync)
-                    .compact_on_join(d.compact_on_join);
-                for s in 0..map.num_shards() {
-                    let dir = d.dir.join(format!("shard-{s:03}"));
-                    let (srv, _meta) = DurableServer::open(
-                        &dir,
-                        map.shard_size(s).max(1),
-                        server_config(),
-                        durable_config.clone(),
-                    )?;
-                    shards.push(ShardHandle::Durable(Box::new(srv)));
-                }
-                let (srv, _meta) = DurableServer::open(
-                    &d.dir.join("cross"),
-                    num_vertices,
-                    server_config(),
-                    durable_config,
-                )?;
-                ShardHandle::Durable(Box::new(srv))
-            }
-        };
+        // A hash partition can leave a shard without vertices; its
+        // backend still needs a non-empty universe (one dummy vertex no
+        // operation ever routes to).
+        let shards = (0..map.num_shards())
+            .map(|s| Builder::new(map.shard_size(s).max(1)).build())
+            .collect::<Result<Vec<B>, _>>()?;
+        let cross = Builder::new(num_vertices).build()?;
         let boundary = Mutex::new(BoundaryCache::stale(map.num_shards()));
         Ok(Self {
             map,
             shards,
             cross,
             boundary,
-            metrics,
-            trace: config.trace.clone(),
-            supports,
+            metrics: ShardMetrics::register(&registry),
+            trace: None,
         })
     }
 
@@ -325,20 +136,9 @@ where
     }
 
     /// The coordinator's metric handles (pooled in the registry passed
-    /// to [`ShardedBackend::start`]).
+    /// to [`ShardedBackend::new`]).
     pub fn metrics(&self) -> &ShardMetrics {
         &self.metrics
-    }
-
-    /// Stop every shard server (and the cross store), returning their
-    /// backends and counters in canonical shard order.
-    pub fn shutdown(self) -> Result<ShardedShutdown<B>, DynConError> {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for handle in self.shards {
-            shards.push(handle.join()?);
-        }
-        let cross = self.cross.join()?;
-        Ok(ShardedShutdown { shards, cross })
     }
 
     /// Translate a mutation op's endpoints to a shard's local id space.
@@ -353,76 +153,59 @@ where
     }
 
     /// Execute one mutation segment (a run of non-query ops): decompose
-    /// into per-shard sub-batches plus the cross-shard batch, submit and
-    /// seal each as one commit round in canonical shard order, run them
-    /// in parallel on the shards' writer threads, then wait every ticket
-    /// (canonical order again) and sum the round counts.
-    fn run_mutation_segment(&self, segment: &[Op]) -> Result<(usize, usize), DynConError> {
-        // Spans attribute to the outer round in flight: the segment runs
-        // inside the outer writer's apply, which set `current_round`.
+    /// into per-shard sub-batches plus the cross-shard batch, then apply
+    /// each non-empty one in canonical shard order, the cross store last.
+    fn run_mutation_segment(&mut self, segment: &[Op]) -> Result<(usize, usize), DynConError> {
+        // Spans attribute to the round in flight: the segment runs
+        // inside the writer's apply, which set `current_round`.
         let round = self.trace.as_ref().map(|t| t.current_round());
         let started = Instant::now();
-        let mut per_shard: Vec<Vec<Op>> = vec![Vec::new(); self.map.num_shards()];
-        let mut cross_ops: Vec<Op> = Vec::new();
+        let mut sub_batches: Vec<Vec<Op>> = vec![Vec::new(); self.map.num_shards() + 1];
+        let cross_slot = self.map.num_shards();
         for &op in segment {
             let (u, v) = op.endpoints();
             if self.map.is_cross(u, v) {
-                cross_ops.push(op);
+                sub_batches[cross_slot].push(op);
             } else {
-                per_shard[self.map.shard_of(u)].push(self.to_local(op));
+                sub_batches[self.map.shard_of(u)].push(self.to_local(op));
             }
         }
         self.metrics.decompose_ns.record_duration(started.elapsed());
         if let (Some(t), Some(round)) = (&self.trace, round) {
             t.record(round, Stage::Decompose, started, segment.len() as u64);
         }
-        // (ticket, shard id or None for the cross store, submit instant,
-        // sub-batch size) — the instant is only taken when tracing.
-        let mut tickets = Vec::new();
-        for (s, ops) in per_shard.into_iter().enumerate() {
+        // Stale until the segment is known to have changed nothing, so a
+        // sub-batch failing part-way never leaves the old contraction.
+        let fresh = &mut self
+            .boundary
+            .get_mut()
+            .expect("boundary lock poisoned")
+            .fresh;
+        let was_fresh = std::mem::replace(fresh, false);
+        let (mut inserted, mut deleted) = (0usize, 0usize);
+        for (s, ops) in sub_batches.iter().enumerate() {
             if ops.is_empty() {
                 continue;
             }
-            let ops_n = ops.len() as u64;
-            let submitted = self.trace.as_ref().map(|_| Instant::now());
-            let ticket = self.shards[s].submit_as(COORDINATOR, ops)?;
-            self.shards[s].seal_round();
+            let started = Instant::now();
+            let backend = self.shards.get_mut(s).unwrap_or(&mut self.cross);
+            let result = backend.apply(ops)?;
             self.metrics.subrounds.inc();
-            tickets.push((ticket, Some(s as u32), submitted, ops_n));
-        }
-        if !cross_ops.is_empty() {
-            let ops_n = cross_ops.len() as u64;
-            let submitted = self.trace.as_ref().map(|_| Instant::now());
-            let ticket = self.cross.submit_as(COORDINATOR, cross_ops)?;
-            self.cross.seal_round();
-            self.metrics.subrounds.inc();
-            tickets.push((ticket, None, submitted, ops_n));
-        }
-        let (mut inserted, mut deleted) = (0usize, 0usize);
-        for (ticket, shard, submitted, ops_n) in tickets {
-            // The coordinator's sub-batch is the only request of its
-            // shard round, so the round-level counts are its own.
-            let result = ticket.wait()?;
-            // Sub-round latency as the coordinator observes it: submit
-            // through commit acknowledgement, waited in canonical order
-            // (a span can include time spent queued behind an earlier
-            // shard's wait).
-            if let (Some(t), Some(round), Some(submitted)) = (&self.trace, round, submitted) {
-                match shard {
-                    Some(s) => t.record_shard(round, Stage::ShardRound, submitted, ops_n, s),
-                    None => t.record(round, Stage::CrossRound, submitted, ops_n),
+            if let (Some(t), Some(round)) = (&self.trace, round) {
+                let ops_n = ops.len() as u64;
+                if s == cross_slot {
+                    t.record(round, Stage::CrossRound, started, ops_n);
+                } else {
+                    t.record_shard(round, Stage::ShardRound, started, ops_n, s as u32);
                 }
             }
             inserted += result.inserted;
             deleted += result.deleted;
         }
-        if inserted + deleted > 0 {
-            // Some edge set changed, so the contraction may be stale.
-            // Zero counts mean every insert was a duplicate and every
-            // delete was absent — edge sets unchanged, partition
-            // unchanged, cache still valid.
-            self.boundary.lock().unwrap().fresh = false;
-        }
+        // Zero counts mean every insert was a duplicate and every delete
+        // was absent: edge sets unchanged, so the contraction is as valid
+        // as it was.
+        *fresh = was_fresh && inserted + deleted == 0;
         Ok((inserted, deleted))
     }
 
@@ -432,7 +215,7 @@ where
             return Ok(());
         }
         let rebuild_started = self.trace.as_ref().map(|_| Instant::now());
-        let cross_edges = self.cross.inspect(|b| b.export_edges())?;
+        let cross_edges = self.cross.export_edges();
         // Distinct cross-edge endpoints per shard, ascending local ids —
         // the canonical input order `component_groups` labels against.
         let mut endpoints: Vec<Vec<u32>> = vec![Vec::new(); self.map.num_shards()];
@@ -445,13 +228,7 @@ where
         for (s, mut eps) in endpoints.into_iter().enumerate() {
             eps.sort_unstable();
             eps.dedup();
-            if eps.is_empty() {
-                reps.push(Vec::new());
-                labelled.push(Vec::new());
-                continue;
-            }
-            let input = eps.clone();
-            let labels = self.shards[s].inspect(move |b| component_groups(b, &input))?;
+            let labels = component_groups(&self.shards[s], &eps);
             // Sorted input ⇒ each label is its component's minimum
             // endpoint, so the distinct labels are already the ascending
             // representative list.
@@ -524,24 +301,17 @@ where
 
     /// Map each of `locals` (ascending local ids in shard `s`) to its
     /// boundary node, if its local component holds one.
-    fn nodes_of(
-        &self,
-        cache: &BoundaryCache<B>,
-        s: usize,
-        locals: &[u32],
-    ) -> Result<Vec<Option<u32>>, DynConError> {
+    fn nodes_of(&self, cache: &BoundaryCache<B>, s: usize, locals: &[u32]) -> Vec<Option<u32>> {
         if cache.reps[s].is_empty() {
-            return Ok(vec![None; locals.len()]);
+            return vec![None; locals.len()];
         }
         // Representatives first: any queried vertex locally connected to
         // a boundary component gets that component's representative as
         // its label (reps are pairwise disconnected, and each precedes
         // every queried vertex in input order).
         let mut input = cache.reps[s].clone();
-        let reps_len = input.len();
         input.extend_from_slice(locals);
-        let labels = self.shards[s].inspect(move |b| component_groups(b, &input))?;
-        Ok(labels[reps_len..]
+        component_groups(&self.shards[s], &input)[cache.reps[s].len()..]
             .iter()
             .map(|label| {
                 cache.reps[s]
@@ -549,7 +319,7 @@ where
                     .ok()
                     .map(|pos| (cache.offsets[s] + pos) as u32)
             })
-            .collect())
+            .collect()
     }
 
     /// Answer a query run: same-shard pairs locally first, everything
@@ -570,7 +340,7 @@ where
                 continue;
             }
             let queries: Vec<(u32, u32)> = items.iter().map(|&(_, p)| p).collect();
-            let local_answers = self.shards[s].inspect(move |b| b.batch_connected(&queries))?;
+            let local_answers = self.shards[s].batch_connected(&queries);
             for (&(i, _), hit) in items.iter().zip(local_answers) {
                 if hit {
                     answers[i] = true;
@@ -593,7 +363,7 @@ where
             Stage::CrossQuery,
             unresolved.len() as u64,
             || -> Result<(), DynConError> {
-                let mut cache = self.boundary.lock().unwrap();
+                let mut cache = self.boundary.lock().expect("boundary lock poisoned");
                 self.ensure_boundary(&mut cache)?;
                 if cache.nodes == 0 {
                     // No cross edges anywhere: nothing unresolved can
@@ -615,7 +385,7 @@ where
                     }
                     locals.sort_unstable();
                     locals.dedup();
-                    for (&local_id, node) in locals.iter().zip(self.nodes_of(&cache, s, &locals)?) {
+                    for (&local_id, node) in locals.iter().zip(self.nodes_of(&cache, s, &locals)) {
                         if let Some(node) = node {
                             node_of.insert(self.map.globals(s)[local_id as usize], node);
                         }
@@ -647,18 +417,9 @@ where
     }
 }
 
-/// Everything [`ShardedBackend::shutdown`] hands back.
-#[derive(Debug)]
-pub struct ShardedShutdown<B> {
-    /// Per-shard outcomes, canonical shard order.
-    pub shards: Vec<ShardShutdown<B>>,
-    /// The cross-edge store's outcome.
-    pub cross: ShardShutdown<B>,
-}
-
 impl<B> Connectivity for ShardedBackend<B>
 where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
+    B: BatchDynamic + BuildFrom + ExportEdges,
 {
     fn backend_name(&self) -> &'static str {
         "sharded"
@@ -673,25 +434,21 @@ where
     }
 
     fn batch_connected(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        // The `&self` query surface is the unchecked fast path; a shard
-        // service failing mid-query is a panic, like any other internal
-        // invariant violation on this path.
+        // The `&self` query surface is the unchecked fast path; a failed
+        // boundary rebuild is a panic, like any other internal invariant
+        // violation on this path.
         self.try_batch_connected(pairs)
-            .expect("sharded batch_connected: shard service failed")
+            .expect("sharded batch_connected: boundary rebuild failed")
     }
 
     fn num_components(&self) -> usize {
         // Each cross-edge merge collapses boundary nodes into boundary
         // components: Σ local components − (nodes − contracted comps).
-        let mut total = 0usize;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if self.map.shard_size(s) > 0 {
-                total += shard
-                    .inspect(|b| b.num_components())
-                    .expect("sharded num_components: shard service failed");
-            }
-        }
-        let mut cache = self.boundary.lock().unwrap();
+        let total: usize = (0..self.shards.len())
+            .filter(|&s| self.map.shard_size(s) > 0)
+            .map(|s| self.shards[s].num_components())
+            .sum();
+        let mut cache = self.boundary.lock().expect("boundary lock poisoned");
         self.ensure_boundary(&mut cache)
             .expect("sharded num_components: boundary rebuild failed");
         match &cache.graph {
@@ -703,20 +460,11 @@ where
     fn component_size(&self, v: u32) -> u64 {
         let s = self.map.shard_of(v);
         let local = self.map.local_of(v);
-        let local_size = || {
-            self.shards[s]
-                .inspect(move |b| b.component_size(local))
-                .expect("sharded component_size: shard service failed")
-        };
-        let mut cache = self.boundary.lock().unwrap();
+        let mut cache = self.boundary.lock().expect("boundary lock poisoned");
         self.ensure_boundary(&mut cache)
             .expect("sharded component_size: boundary rebuild failed");
-        let node = match self
-            .nodes_of(&cache, s, &[local])
-            .expect("sharded component_size: shard service failed")[0]
-        {
-            None => return local_size(),
-            Some(node) => node,
+        let Some(node) = self.nodes_of(&cache, s, &[local])[0] else {
+            return self.shards[s].component_size(local);
         };
         // v's global component is the disjoint union of the local
         // components of every boundary node reachable from v's node.
@@ -725,18 +473,12 @@ where
         let reachable = graph.batch_connected(&probes);
         let mut total = 0u64;
         for (s2, shard) in self.shards.iter().enumerate() {
-            let members: Vec<u32> = cache.reps[s2]
+            total += cache.reps[s2]
                 .iter()
                 .enumerate()
                 .filter(|&(pos, _)| reachable[cache.offsets[s2] + pos])
-                .map(|(_, &rep)| rep)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            total += shard
-                .inspect(move |b| members.iter().map(|&r| b.component_size(r)).sum::<u64>())
-                .expect("sharded component_size: shard service failed");
+                .map(|(_, &rep)| shard.component_size(rep))
+                .sum::<u64>();
         }
         total
     }
@@ -744,7 +486,7 @@ where
 
 impl<B> BatchDynamic for ShardedBackend<B>
 where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
+    B: BatchDynamic + BuildFrom + ExportEdges,
 {
     fn batch_insert(&mut self, edges: &[(u32, u32)]) -> Result<usize, DynConError> {
         let ops: Vec<Op> = edges.iter().map(|&(u, v)| Op::Insert(u, v)).collect();
@@ -792,52 +534,37 @@ where
     }
 
     fn supports(&self, kind: OpKind) -> bool {
-        self.supports[match kind {
-            OpKind::Insert => 0,
-            OpKind::Delete => 1,
-            OpKind::Query => 2,
-        }]
+        // A static capability of B, which the cross store is an instance
+        // of.
+        self.cross.supports(kind)
     }
 
     fn check(&self) -> Result<(), String> {
         for (s, shard) in self.shards.iter().enumerate() {
-            shard
-                .inspect(|b| b.check())
-                .map_err(|e| format!("shard {s}: {e}"))?
-                .map_err(|e| format!("shard {s}: {e}"))?;
+            shard.check().map_err(|e| format!("shard {s}: {e}"))?;
         }
-        self.cross
-            .inspect(|b| b.check())
-            .map_err(|e| format!("cross store: {e}"))?
-            .map_err(|e| format!("cross store: {e}"))?;
-        Ok(())
+        self.cross.check().map_err(|e| format!("cross store: {e}"))
     }
 }
 
 impl<B> ExportEdges for ShardedBackend<B>
 where
-    B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
+    B: BatchDynamic + BuildFrom + ExportEdges,
 {
     fn export_edges(&self) -> Vec<(u32, u32)> {
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
-            let local = shard
-                .inspect(|b| b.export_edges())
-                .expect("sharded export: shard service failed");
             let globals = self.map.globals(s);
             // Local ids ascend with global ids, so locally-normalized
             // pairs stay normalized after translation.
             edges.extend(
-                local
+                shard
+                    .export_edges()
                     .iter()
                     .map(|&(a, b)| (globals[a as usize], globals[b as usize])),
             );
         }
-        edges.extend(
-            self.cross
-                .inspect(|b| b.export_edges())
-                .expect("sharded export: cross store failed"),
-        );
+        edges.extend(self.cross.export_edges());
         edges.sort_unstable();
         edges
     }

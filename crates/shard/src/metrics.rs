@@ -3,12 +3,10 @@
 //! Same contract as the serving and durability bundles: **observational,
 //! never inputs** — nothing here is read on a decomposition, sealing, or
 //! boundary-resolution decision path, so instrumentation coexists with
-//! the byte-determinism contract. The coordinator pools ONE registry
-//! across the outer server, every per-shard server, and (in durable
-//! mode) every per-shard WAL: registration is idempotent per name, so
-//! `dyncon_server_*` counters aggregate over all shard sub-rounds plus
-//! the outer rounds, and this bundle's `dyncon_shard_*` names carry the
-//! coordinator-only view.
+//! the byte-determinism contract. One registry is pooled across the
+//! server, the WAL (in durable mode) and the coordinator: registration
+//! is idempotent per name, and this bundle's `dyncon_shard_*` names
+//! carry the coordinator-only view.
 
 use dyncon_metrics::{Counter, Histogram, Registry};
 use std::sync::Arc;
@@ -28,8 +26,8 @@ pub struct ShardMetrics {
     /// `dyncon_shard_boundary_rebuilds_total` — lazy boundary-graph
     /// reconstructions (one per first resolution after a mutation).
     pub boundary_rebuilds: Arc<Counter>,
-    /// `dyncon_shard_subrounds_total` — per-shard commit rounds the
-    /// coordinator sealed (including cross-store rounds).
+    /// `dyncon_shard_subrounds_total` — non-empty per-shard sub-batches
+    /// the coordinator applied (including the cross store's).
     pub subrounds: Arc<Counter>,
 }
 
@@ -60,7 +58,7 @@ impl ShardMetrics {
             subrounds: registry.counter(
                 "dyncon_shard_subrounds_total",
                 "rounds",
-                "per-shard commit rounds sealed by the coordinator",
+                "non-empty per-shard sub-batches applied by the coordinator",
             ),
         })
     }

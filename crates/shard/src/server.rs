@@ -1,68 +1,28 @@
 //! The sharded serving frontend.
 //!
-//! [`ShardedServer`] wraps a [`ShardedBackend`] in an outer
-//! [`ConnServer`], so clients get the familiar group-commit surface
-//! (tickets, coalescing, deterministic mode, backpressure) while each
-//! admitted round fans out into per-shard commit rounds underneath. One
-//! metric registry is pooled across the outer server, every shard
-//! server, every per-shard WAL, and the coordinator itself.
+//! [`ShardedServer`] runs a [`ShardedBackend`] in one [`ConnServer`], so
+//! clients get the familiar group-commit surface (tickets, coalescing,
+//! deterministic mode, backpressure) while the writer applies each
+//! admitted round to the shards' plain backends in turn. With
+//! [`ShardConfig::durable`], the same server is wired to one write-ahead
+//! log through a [`WalAttachment`]: each round is logged once,
+//! in global ids, before it is applied. One metric registry is pooled
+//! across the server, the WAL and the coordinator.
 
-use crate::backend::{ShardShutdown, ShardedBackend};
+use crate::backend::ShardedBackend;
 use crate::map::ShardMapKind;
 use dyncon_api::{BatchDynamic, BuildFrom, DynConError, ExportEdges, Op};
 use dyncon_api::{ReadView, Version, VersionedRead};
-use dyncon_durable::FsyncPolicy;
+use dyncon_durable::{DurableConfig, WalAttachment};
 use dyncon_export::HealthState;
 use dyncon_metrics::{MetricsSnapshot, Registry};
-use dyncon_server::{ConnServer, ReadHandle, RoundRecord, ServerConfig, SubmitOptions, Ticket};
-use dyncon_trace::{RoundTrace, TraceRecorder};
+use dyncon_server::{ConnServer, ReadHandle, ServerConfig, ServiceReport, SubmitOptions, Ticket};
+use dyncon_trace::TraceRecorder;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Where (and how) the shards persist. Each shard gets its own
-/// WAL/snapshot directory `shard-NNN/` under the base dir, the
-/// cross-edge store gets `cross/`, and the base dir carries a topology
-/// manifest so a reopen with a different partition fails loudly.
-#[derive(Clone, Debug)]
-pub struct DurableShards {
-    pub(crate) dir: PathBuf,
-    pub(crate) fsync: FsyncPolicy,
-    pub(crate) compact_on_join: bool,
-}
-
-impl DurableShards {
-    /// Persist under `dir` with the default policy (fsync every round,
-    /// compact on join) — the same defaults as a standalone
-    /// [`DurableServer`](dyncon_durable::DurableServer).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            fsync: FsyncPolicy::EveryRound,
-            compact_on_join: true,
-        }
-    }
-
-    /// When each shard's WAL fsyncs.
-    pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
-        self.fsync = policy;
-        self
-    }
-
-    /// Whether each shard snapshots + truncates its WAL at shutdown.
-    pub fn compact_on_join(mut self, yes: bool) -> Self {
-        self.compact_on_join = yes;
-        self
-    }
-}
-
-/// Configuration of a [`ShardedServer`]: the partition shape, the outer
-/// server's admission knobs, and optional per-shard durability.
-///
-/// The *outer* server takes the deterministic/record/batching knobs;
-/// the *shard* servers always run in deterministic mode (the
-/// coordinator is their sole client and seals every sub-round
-/// explicitly, so determinism costs nothing and keeps per-shard WALs
-/// byte-replayable).
+/// Configuration of a [`ShardedServer`]: the partition shape, the
+/// server's admission knobs, and optional durability.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
     pub(crate) shards: usize,
@@ -78,7 +38,7 @@ pub struct ShardConfig {
     pub(crate) metrics: Option<Registry>,
     pub(crate) trace: Option<TraceRecorder>,
     pub(crate) health: Option<HealthState>,
-    pub(crate) durable: Option<DurableShards>,
+    pub(crate) durable: Option<(PathBuf, DurableConfig)>,
 }
 
 impl Default for ShardConfig {
@@ -103,7 +63,7 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Two hash shards, throughput-mode outer admission, in-memory.
+    /// Two hash shards, throughput-mode admission, in-memory.
     pub fn new() -> Self {
         Self::default()
     }
@@ -120,9 +80,8 @@ impl ShardConfig {
         self
     }
 
-    /// Deterministic mode for the **outer** server: explicit round
-    /// sealing and canonical `(client, seq)` admission order. Combined
-    /// with the always-deterministic shards and the canonical
+    /// Deterministic mode: explicit round sealing and canonical
+    /// `(client, seq)` admission order. Combined with the canonical
     /// decomposition, results are byte-identical across thread counts
     /// and shard counts.
     pub fn deterministic(mut self, yes: bool) -> Self {
@@ -130,41 +89,42 @@ impl ShardConfig {
         self
     }
 
-    /// Record the outer server's per-round replay log.
+    /// Record the per-round replay log.
     pub fn record_rounds(mut self, yes: bool) -> Self {
         self.record_rounds = yes;
         self
     }
 
-    /// Outer round size cap.
+    /// Round size cap.
     pub fn batch_cap(mut self, ops: usize) -> Self {
         self.max_batch_ops = ops;
         self
     }
 
-    /// Outer coalescing window.
+    /// Coalescing window.
     pub fn coalesce_wait(mut self, wait: Duration) -> Self {
         self.max_coalesce_wait = wait;
         self
     }
 
-    /// Outer admission queue capacity (requests, for backpressure).
+    /// Admission queue capacity (requests, for backpressure).
     pub fn queue_capacity(mut self, requests: usize) -> Self {
         self.queue_capacity = requests;
         self
     }
 
-    /// Rayon pool size for **each** shard's writer (and the outer
-    /// writer). `None` inherits `DYNCON_THREADS`/core count.
+    /// Rayon pool size of the writer, which applies every shard's
+    /// sub-batch (and the cross store's) in turn, each using the whole
+    /// pool inside its batch ops. `None` inherits
+    /// `DYNCON_THREADS`/core count.
     pub fn shard_worker_threads(mut self, threads: usize) -> Self {
         self.shard_worker_threads = Some(threads);
         self
     }
 
-    /// Enable MVCC versioned reads on the **outer** server: after every
-    /// outer commit round the coordinator exports the global edge set
-    /// (each shard quiesced at that same outer version, boundary graph
-    /// included) and retains it as that outer [`dyncon_api::Version`]'s
+    /// Enable MVCC versioned reads: after every commit round the writer
+    /// exports the global edge set (every shard and the boundary graph
+    /// at that same version) and retains it as that [`Version`]'s
     /// snapshot, keeping the last `versions` of them (0, the default,
     /// disables publication; see
     /// [`dyncon_server::ServerConfig::retain_views`]).
@@ -181,76 +141,56 @@ impl ShardConfig {
         self
     }
 
-    /// Pool all metrics (outer server, shard servers, WALs,
-    /// coordinator) in this registry instead of a fresh one.
+    /// Pool all metrics (server, WAL, coordinator) in this registry
+    /// instead of a fresh one.
     pub fn metrics(mut self, registry: Registry) -> Self {
         self.metrics = Some(registry);
         self
     }
 
-    /// Attach a [`TraceRecorder`]: the outer writer records its own
-    /// pipeline stages (coalesce wait, apply, publish, fill), and the
-    /// coordinator attributes each outer round's fan-out — decompose,
-    /// one sub-round span per shard, the cross store's sub-round, lazy
-    /// boundary rebuilds, and cross-shard query resolution. The shard
-    /// servers themselves are *not* instrumented (their writer stages
-    /// are inside the coordinator's per-shard sub-round spans).
-    /// Observational only; see [`dyncon_server::ServerConfig::trace`].
+    /// Attach a [`TraceRecorder`]: the writer records its own pipeline
+    /// stages (coalesce wait, WAL, apply, publish, fill), and the
+    /// coordinator attributes each round's work inside apply —
+    /// decompose, one span per non-empty shard sub-batch, the cross
+    /// store's sub-batch, lazy boundary rebuilds, and cross-shard query
+    /// resolution. Observational only; see
+    /// [`dyncon_server::ServerConfig::trace`].
     pub fn trace(mut self, recorder: TraceRecorder) -> Self {
         self.trace = Some(recorder);
         self
     }
 
-    /// Feed the **outer** server's liveness signals (writer heartbeat,
-    /// queue depth, backpressure, SLO grading of outer rounds) into
-    /// this health engine. The shard servers are not separately
-    /// instrumented: a wedged shard stalls the outer writer, which is
-    /// exactly what the watchdog watches. Observational only; see
+    /// Feed the server's liveness signals (writer heartbeat, queue
+    /// depth, backpressure, SLO grading of rounds) into this health
+    /// engine. Observational only; see
     /// [`dyncon_server::ServerConfig::health`].
     pub fn health(mut self, health: HealthState) -> Self {
         self.health = Some(health);
         self
     }
 
-    /// Persist every shard (and the cross store) under
-    /// [`DurableShards::new`]'s base directory, recovering on start.
-    pub fn durable(mut self, durable: DurableShards) -> Self {
-        self.durable = Some(durable);
+    /// Persist under `dir`: one WAL logging every round in global ids,
+    /// plus a snapshot of the global edge set, recovered on start. The
+    /// partition is not durable state, so a directory may be reopened
+    /// with any shard count or [`ShardMapKind`]; the vertex count must
+    /// match. See [`dyncon_durable`] for the log format
+    /// and crash-consistency model.
+    pub fn durable(mut self, dir: impl Into<PathBuf>, durable: DurableConfig) -> Self {
+        self.durable = Some((dir.into(), durable));
         self
     }
 }
 
-/// Final report of a sharded service ([`ShardedServer::join`]).
-#[derive(Debug)]
-pub struct ShardedReport<B> {
-    /// The outer server's per-round replay log (empty unless
-    /// [`ShardConfig::record_rounds`]).
-    pub rounds: Vec<RoundRecord>,
-    /// Outer commit rounds.
-    pub rounds_committed: u64,
-    /// Operations committed through the outer server.
-    pub ops_committed: u64,
-    /// Snapshot of the pooled registry, taken **after** every shard
-    /// joined (so shutdown-compaction metrics are included).
-    pub metrics: MetricsSnapshot,
-    /// Per-shard backends and counters, canonical shard order.
-    pub shards: Vec<ShardShutdown<B>>,
-    /// The cross-edge store's backend and counters.
-    pub cross: ShardShutdown<B>,
-    /// The slowest outer round's stage breakdown, when a
-    /// [`ShardConfig::trace`] recorder was attached (`None` otherwise).
-    pub slowest_round: Option<RoundTrace>,
-}
-
-/// A sharded group-commit connectivity service: an outer [`ConnServer`]
-/// admitting client traffic, a coordinator decomposing each admitted
-/// round into per-shard sub-rounds, and a contracted boundary graph
-/// recombining cross-shard reachability (see [`ShardedBackend`]).
+/// A sharded group-commit connectivity service: a [`ConnServer`]
+/// admitting client traffic over a [`ShardedBackend`], which decomposes
+/// each round into per-shard sub-batches and recombines cross-shard
+/// reachability through a contracted boundary graph.
 pub struct ShardedServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
 {
     inner: ConnServer<ShardedBackend<B>>,
+    wal: Option<WalAttachment>,
     registry: Registry,
     num_shards: usize,
 }
@@ -259,13 +199,11 @@ impl<B> ShardedServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
 {
-    /// Partition `num_vertices` per `config`, start every shard server,
-    /// and put the outer admission server in front.
+    /// Partition `num_vertices` per `config`, recover the durable
+    /// directory if one is configured, and start serving.
     pub fn start(num_vertices: usize, config: ShardConfig) -> Result<Self, DynConError> {
         let registry = config.metrics.clone().unwrap_or_default();
-        let backend = ShardedBackend::start(num_vertices, &config, registry.clone())?;
-        let num_shards = backend.shard_map().num_shards();
-        let mut outer = ServerConfig::new()
+        let mut server_config = ServerConfig::new()
             .batch_cap(config.max_batch_ops)
             .coalesce_wait(config.max_coalesce_wait)
             .queue_capacity(config.queue_capacity)
@@ -275,34 +213,41 @@ where
             .reader_threads(config.reader_threads)
             .metrics(registry.clone());
         if let Some(threads) = config.shard_worker_threads {
-            outer = outer.worker_threads(threads);
+            server_config = server_config.worker_threads(threads);
         }
         if let Some(trace) = config.trace.clone() {
-            outer = outer.trace(trace);
+            server_config = server_config.trace(trace);
         }
         if let Some(health) = config.health.clone() {
-            outer = outer.health(health);
+            server_config = server_config.health(health);
         }
-        // With views on, the outer writer exports the global edge set
-        // between outer rounds — every shard has fully committed its
-        // sub-rounds of outer round r and none has seen r+1, so the
-        // per-shard states and the boundary graph are all pinned at the
-        // same outer version. Note: outer versions are process-local
-        // (per-shard WALs log *sub*-rounds, so there is no durable outer
-        // round id to anchor to across restarts).
+        let build = || ShardedBackend::new(num_vertices, &config, registry.clone());
+        let (mut backend, server_config, wal) = match &config.durable {
+            None => (build()?, server_config, None),
+            Some((dir, durable)) => {
+                let (wal, backend, server_config) =
+                    WalAttachment::open(dir, num_vertices, server_config, durable, build)?;
+                (backend, server_config, Some(wal))
+            }
+        };
+        // Attached only now, so recovery replay (which runs before the
+        // writer, outside any round) records no spans.
+        backend.trace = config.trace.clone();
+        let num_shards = backend.shard_map().num_shards();
         let inner = if config.retain_views > 0 {
-            ConnServer::start_versioned(backend, outer)
+            ConnServer::start_versioned(backend, server_config)
         } else {
-            ConnServer::start(backend, outer)
+            ConnServer::start(backend, server_config)
         };
         Ok(Self {
             inner,
+            wal,
             registry,
             num_shards,
         })
     }
 
-    /// The outer server, for generic harnesses that drive a
+    /// The underlying server, for generic harnesses that drive a
     /// [`ConnServer`] (load generators, replay tools).
     pub fn conn(&self) -> &ConnServer<ShardedBackend<B>> {
         &self.inner
@@ -339,19 +284,20 @@ where
         self.inner.submit_blocking_as(client, ops)
     }
 
-    /// See [`ConnServer::submit_with`]. Versions here are **outer**
-    /// round versions (process-local; per-shard WALs number sub-rounds).
+    /// See [`ConnServer::submit_with`]. On a durable server versions are
+    /// WAL round ids, so they survive restarts.
     pub fn submit_with(&self, ops: Vec<Op>, options: SubmitOptions) -> Result<Ticket, DynConError> {
         self.inner.submit_with(ops, options)
     }
 
-    /// Seal the current outer round (deterministic mode's commit
-    /// trigger). Returns how many requests the sealed round holds.
+    /// Seal the current round (deterministic mode's commit trigger).
+    /// Returns how many requests the sealed round holds.
     pub fn seal_round(&self) -> usize {
         self.inner.seal_round()
     }
 
-    /// The newest committed outer version.
+    /// The newest committed version; on a durable server, after
+    /// recovery, at least the recovered WAL round id.
     pub fn newest_committed(&self) -> Option<Version> {
         self.inner.newest_committed()
     }
@@ -376,7 +322,7 @@ where
     }
 
     /// Run a read-only closure against the sharded backend between
-    /// outer rounds (which in turn may inspect individual shards).
+    /// rounds.
     pub fn inspect<R, F>(&self, f: F) -> Result<R, DynConError>
     where
         R: Send + 'static,
@@ -385,37 +331,32 @@ where
         self.inner.inspect(f)
     }
 
-    /// Outer commit rounds so far.
+    /// Commit rounds so far (this process; excludes recovered rounds).
     pub fn rounds_committed(&self) -> u64 {
         self.inner.rounds_committed()
     }
 
-    /// Operations committed through the outer server so far.
+    /// Operations committed so far (this process).
     pub fn ops_committed(&self) -> u64 {
         self.inner.ops_committed()
     }
 
-    /// Snapshot the pooled registry (outer + shards + WALs +
-    /// coordinator).
+    /// Snapshot the pooled registry (server + WAL + coordinator).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
 
-    /// Stop accepting work, drain, and shut down outer server and every
-    /// shard. Fails if any shard's shutdown (e.g. durable compaction)
-    /// fails.
-    pub fn join(self) -> Result<ShardedReport<B>, DynConError> {
-        let report = self.inner.join();
-        let shutdown = report.backend.shutdown()?;
-        Ok(ShardedReport {
-            rounds: report.rounds,
-            rounds_committed: report.rounds_committed,
-            ops_committed: report.ops_committed,
-            metrics: self.registry.snapshot(),
-            shards: shutdown.shards,
-            cross: shutdown.cross,
-            slowest_round: report.slowest_round,
-        })
+    /// Stop accepting work and drain; on a durable server, also make the
+    /// log durable and (per [`DurableConfig::compact_on_join`]) compact
+    /// it. Fails if that final sync or compaction fails.
+    pub fn join(self) -> Result<ServiceReport<ShardedBackend<B>>, DynConError> {
+        let mut report = self.inner.join();
+        if let Some(wal) = &self.wal {
+            wal.finish(&report.backend)?;
+        }
+        // Re-freeze: the final sync and compaction belong in the report.
+        report.metrics = self.registry.snapshot();
+        Ok(report)
     }
 }
 
@@ -423,10 +364,9 @@ impl<B> VersionedRead for ShardedServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
 {
-    /// The retained window of **outer** versions. Each retained view is
-    /// a globally consistent snapshot: all shards and the boundary graph
-    /// pinned at the same outer version (the coordinator exports between
-    /// outer rounds, when every shard has quiesced).
+    /// The retained window of versions. Each retained view is a globally
+    /// consistent snapshot: all shards and the boundary graph at the
+    /// same version (the writer exports between rounds).
     fn version_window(&self) -> Option<(Version, Version)> {
         self.inner.version_window()
     }

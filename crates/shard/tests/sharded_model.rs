@@ -15,11 +15,8 @@ fn sharded(
     shards: usize,
     kind: ShardMapKind,
 ) -> ShardedBackend<BatchDynamicConnectivity> {
-    let config = ShardConfig::new()
-        .shards(shards)
-        .kind(kind)
-        .shard_worker_threads(2);
-    ShardedBackend::start(n, &config, Registry::new()).expect("start sharded backend")
+    let config = ShardConfig::new().shards(shards).kind(kind);
+    ShardedBackend::new(n, &config, Registry::new()).expect("build sharded backend")
 }
 
 /// A mixed-op batch stream biased toward boundary-crossing edges: under
@@ -78,7 +75,6 @@ fn agrees_with_naive_oracle_across_shard_counts_and_kinds() {
                 );
             }
             sut.check().expect("sharded invariants");
-            sut.shutdown().expect("clean shutdown");
         }
     }
 }
@@ -111,7 +107,6 @@ fn component_size_spans_shards() {
         );
     }
     assert_eq!(sut.num_components(), 2);
-    sut.shutdown().expect("clean shutdown");
 }
 
 #[test]
@@ -123,16 +118,19 @@ fn byte_identical_results_across_shard_and_thread_counts() {
     let mut reference = None;
     for shards in [1usize, 2, 4] {
         for threads in [1usize, 2, 4] {
-            let config = ShardConfig::new()
-                .shards(shards)
-                .kind(ShardMapKind::Hash)
-                .shard_worker_threads(threads);
-            let mut sut: ShardedBackend<BatchDynamicConnectivity> =
-                ShardedBackend::start(n, &config, Registry::new()).unwrap();
-            let results: Vec<_> = batches
-                .iter()
-                .map(|b| sut.apply(b).expect("apply"))
-                .collect();
+            let mut sut = sharded(n, shards, ShardMapKind::Hash);
+            // The backend runs on its caller's pool, as it does inside a
+            // server's writer.
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let results: Vec<_> = pool.install(|| {
+                batches
+                    .iter()
+                    .map(|b| sut.apply(b).expect("apply"))
+                    .collect()
+            });
             match &reference {
                 None => reference = Some(results),
                 Some(want) => assert_eq!(
@@ -140,7 +138,6 @@ fn byte_identical_results_across_shard_and_thread_counts() {
                     "results diverged at {shards} shards x {threads} threads"
                 ),
             }
-            sut.shutdown().expect("clean shutdown");
         }
     }
 }
@@ -161,7 +158,6 @@ fn rejects_out_of_range_vertices_without_partial_application() {
     // Validation is up-front: the in-range insert must not have landed.
     assert_eq!(sut.export_edges(), Vec::new());
     assert_eq!(sut.num_components(), 8);
-    sut.shutdown().expect("clean shutdown");
 }
 
 #[test]
@@ -182,5 +178,4 @@ fn query_runs_observe_exactly_the_preceding_mutations() {
     assert_eq!(result.inserted, 2);
     assert_eq!(result.deleted, 1);
     assert_eq!(result.answers, vec![true, false, true]);
-    sut.shutdown().expect("clean shutdown");
 }

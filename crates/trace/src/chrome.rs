@@ -9,9 +9,9 @@
 //!
 //! Lane assignment: single-pipeline stages (coalesce, WAL, apply,
 //! publish, fill) share `tid` 0 — the writer executes them one after
-//! another, so they never overlap; each shard's sub-rounds get
-//! `tid = shard + 1` (they genuinely run in parallel and deserve their
-//! own lanes); reader-path spans go to a dedicated lane above the
+//! another, so they never overlap; each shard's sub-batches get
+//! `tid = shard + 1`, so a straggler shard reads off its own lane;
+//! reader-path spans go to a dedicated lane above the
 //! shards so concurrent reads never partially overlap writer stages in
 //! one lane.
 //!

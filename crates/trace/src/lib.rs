@@ -11,7 +11,7 @@
 //! - [`TraceRecorder`] — a bounded, lock-light ring buffer of
 //!   [`Span`]s. Every instrumented stage of the serving pipeline
 //!   (admission coalescing, WAL append/fsync, shard decompose and
-//!   sub-rounds, boundary rebuild, snapshot publish, ticket fill,
+//!   sub-batches, boundary rebuild, snapshot publish, ticket fill,
 //!   versioned reads) records one span per occurrence. Per committed
 //!   round the recorder folds spans into a [`RoundTrace`] breakdown,
 //!   tracks the slowest round seen, and promotes rounds over a

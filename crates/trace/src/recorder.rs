@@ -34,10 +34,10 @@ pub enum Stage {
     Apply,
     /// Coordinator: routing a mutation segment's ops to shards.
     Decompose,
-    /// Coordinator: one shard's sub-round, submit to ticket resolution.
-    /// Carries [`Span::shard`].
+    /// Coordinator: one shard's apply of its sub-batch. Carries
+    /// [`Span::shard`].
     ShardRound,
-    /// Coordinator: the cross-edge store's sub-round.
+    /// Coordinator: the cross-edge store's apply of its sub-batch.
     CrossRound,
     /// Coordinator: rebuild of the contracted boundary graph.
     BoundaryRebuild,
@@ -197,8 +197,8 @@ pub struct RoundTrace {
     /// The committed round (server-local numbering).
     pub round: u64,
     /// Wall time from the writer taking the round to its last ticket
-    /// filled, nanoseconds. Stages may overlap (shard sub-rounds run
-    /// in parallel), so stage totals can exceed this.
+    /// filled, nanoseconds. Stages nest (the shard stages inside
+    /// apply), so stage totals can exceed this.
     pub wall_ns: u64,
     /// Operations the round committed.
     pub ops: u64,
@@ -686,7 +686,7 @@ mod tests {
         r.complete_round(7, Duration::from_nanos(1500), 6);
         let t = r.slowest_round().expect("completed round is the slowest");
         assert_eq!((t.round, t.wall_ns, t.ops), (7, 1500, 6));
-        // Pipeline order: apply before the per-shard sub-rounds.
+        // Pipeline order: apply before the per-shard sub-batches.
         assert_eq!(t.stages.len(), 3);
         assert_eq!(
             (t.stages[0].stage, t.stages[0].total_ns, t.stages[0].count),

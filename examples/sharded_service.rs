@@ -1,9 +1,9 @@
 //! Sharded serving demo: partition → decompose → recombine → verify.
 //!
 //! A `ShardedServer` partitions the vertex universe across 4 hash
-//! shards, each behind its own single-writer commit pipeline, and
-//! recombines cross-shard reachability through the contracted boundary
-//! graph. Concurrent Zipf clients drive mixed-op traffic; every answer
+//! shards, each a plain backend that the one writer applies its
+//! sub-batch of every round to, and recombines cross-shard reachability
+//! through the contracted boundary graph. Concurrent Zipf clients drive mixed-op traffic; every answer
 //! is then re-checked against a single unsharded oracle applying the
 //! exact same rounds, and the coordinator's own metrics show how much
 //! recombination work the partition induced.
@@ -71,17 +71,15 @@ fn main() {
     println!("state: {edges} edges, {components} global components");
 
     let report = server.join().unwrap();
+    let metric = |name: &str| report.metrics.get(name).cloned();
     println!(
-        "served: {} rounds, {} ops; shards committed {} sub-rounds",
+        "served: {} rounds, {} ops; shards applied {} sub-batches",
         report.rounds_committed,
         report.ops_committed,
-        report
-            .shards
-            .iter()
-            .map(|s| s.rounds_committed)
-            .sum::<u64>(),
+        metric("dyncon_shard_subrounds_total")
+            .and_then(|m| m.value.as_counter())
+            .unwrap_or(0),
     );
-    let metric = |name: &str| report.metrics.get(name).cloned();
     if let Some(m) = metric("dyncon_shard_boundary_rebuilds_total") {
         println!(
             "boundary graph: {} rebuilds, {} contracted edges total",
@@ -94,7 +92,7 @@ fn main() {
 
     // Verify: an unsharded oracle applying the recorded rounds must
     // produce byte-identical results — the partition, the per-shard
-    // pipelines and the boundary graph are all invisible in the answers.
+    // sub-batches and the boundary graph are all invisible in the answers.
     let mut oracle = NaiveDynamicGraph::new(N);
     for record in &report.rounds {
         let got = oracle.apply(&record.ops).unwrap();
@@ -105,16 +103,13 @@ fn main() {
         report.rounds.len()
     );
 
-    // The per-shard backends come home at shutdown; their edge counts
-    // sum to the oracle's intra-shard edges, the cross store holds the
-    // rest.
-    let local: usize = report
-        .shards
-        .iter()
-        .map(|s| s.backend.export_edges().len())
-        .sum();
-    let cross = report.cross.backend.export_edges().len();
-    assert_eq!(local + cross, oracle.export_edges().len());
+    // The sharded backend comes home at shutdown: its edges are the
+    // oracle's, split by the partition into intra-shard and cross-shard.
+    let edges = report.backend.export_edges();
+    assert_eq!(edges, oracle.export_edges());
+    let map = report.backend.shard_map();
+    let cross = edges.iter().filter(|&&(u, v)| map.is_cross(u, v)).count();
+    let local = edges.len() - cross;
     println!(
         "edge partition: {local} intra-shard + {cross} cross-shard = {} total",
         local + cross

@@ -42,8 +42,8 @@
 //! the README and `examples/durable_service.rs`).
 //!
 //! To scale past one commit pipeline, [`shard::ShardedServer`]
-//! partitions the vertex universe across N shard servers (each
-//! optionally durable in its own directory) and recombines cross-shard
+//! partitions the vertex universe across N plain shard backends in one
+//! server (optionally durable through one WAL) and recombines cross-shard
 //! reachability through a contracted boundary graph, preserving the
 //! byte-determinism contract at every shard and thread count (see the
 //! "Sharding" section of the README and `examples/sharded_service.rs`).

@@ -135,87 +135,96 @@ fn kill_at_round_k_recovery_is_byte_identical_across_worker_threads() {
     }
 }
 
-/// Sharded kill-at-round-k: a durable [`ShardedServer`] writes one WAL
-/// per shard (plus the cross store's). Killing it at a sealed-round
-/// boundary and reopening the same base directory must recover *every*
-/// shard and the lazily rebuilt boundary graph to the same prefix, so
-/// replaying the remaining rounds yields `BatchResult`s — and a final
-/// edge set and component count — byte-identical to the uninterrupted
-/// run, at 1, 2 and 4 worker threads per shard.
+/// A durable sharded server over `dir`: `shards` shards of `kind` on a
+/// `threads`-thread writer, WAL left uncompacted at join unless
+/// `compact`.
+fn sharded_server(
+    dir: &Path,
+    num_vertices: usize,
+    shards: usize,
+    kind: dyncon_shard::ShardMapKind,
+    compact: bool,
+    threads: usize,
+) -> Result<dyncon_shard::ShardedServer<BatchDynamicConnectivity>, DynConError> {
+    use dyncon_shard::{ShardConfig, ShardedServer};
+    ShardedServer::start(
+        num_vertices,
+        ShardConfig::new()
+            .shards(shards)
+            .kind(kind)
+            .deterministic(true)
+            .shard_worker_threads(threads)
+            .queue_capacity(ROUNDS)
+            .durable(dir, DurableConfig::new().compact_on_join(compact)),
+    )
+}
+
+/// Serve `rounds[from..upto]` through a durable 3-shard hash service on
+/// `dir` with `threads` writer threads, one sealed round each, then stop
+/// without compaction — the WAL is left exactly as a kill at that
+/// sealed-round boundary would leave it. Versions are WAL round ids: a
+/// reopen at `from` has committed `from - 1`, and round `r` commits as
+/// version `r`.
+fn serve_sharded(dir: &Path, from: usize, upto: usize, threads: usize) -> Vec<BatchResult> {
+    let rounds = canonical_rounds();
+    let kind = dyncon_shard::ShardMapKind::Hash;
+    let server = sharded_server(dir, N, 3, kind, false, threads).unwrap();
+    assert_eq!(server.newest_committed(), (from as u64).checked_sub(1));
+    let mut results = Vec::new();
+    for (r, ops) in rounds.iter().enumerate().take(upto).skip(from) {
+        let ticket = server.submit_as(0, ops.clone()).unwrap();
+        assert_eq!(server.seal_round(), 1);
+        let committed = ticket.wait().unwrap();
+        assert_eq!(committed.version, r as u64, "round {r}'s version");
+        results.push(BatchResult {
+            inserted: committed.inserted,
+            deleted: committed.deleted,
+            answers: committed.answers,
+        });
+    }
+    let report = server.join().unwrap();
+    assert_eq!(report.rounds_committed, (upto - from) as u64);
+    results
+}
+
+/// Sharded kill-at-round-k: a durable [`ShardedServer`] logs each round
+/// once, in global ids, in one WAL. Killing it at a sealed-round
+/// boundary and reopening the same directory must recover *every*
+/// shard and the lazily rebuilt boundary graph to the same prefix and
+/// continue the version numbering, so replaying the remaining rounds
+/// yields `BatchResult`s — and a final edge set and component count —
+/// byte-identical to the uninterrupted run, at 1, 2 and 4 writer
+/// threads.
 #[test]
 fn sharded_kill_at_round_k_recovers_every_shard_and_the_boundary() {
     use dyncon_api::Connectivity;
-    use dyncon_shard::{DurableShards, ShardConfig, ShardMapKind, ShardedServer};
-    const SHARDS: usize = 3;
-    let rounds = canonical_rounds();
     let (reference, expected) = uninterrupted();
+    for threads in [1usize, 2, 4] {
+        for &k in &crash_points(ROUNDS, 2, 31 + threads as u64) {
+            let dir = scratch_dir(&format!("shard-kill-w{threads}-k{k}"));
+            let head = serve_sharded(&dir, 0, k, threads);
+            assert_eq!(head, expected[..k], "w={threads} k={k}: head");
 
-    // Serve `rounds[from..upto]` through a durable sharded service on
-    // `dir`, then stop without compaction — every shard's WAL is left
-    // exactly as a kill at that sealed-round boundary would leave it.
-    let serve = |dir: &Path, from: usize, upto: usize, threads: usize| -> Vec<BatchResult> {
-        let server: ShardedServer<BatchDynamicConnectivity> = ShardedServer::start(
-            N,
-            ShardConfig::new()
-                .shards(SHARDS)
-                .kind(ShardMapKind::Hash)
-                .deterministic(true)
-                .shard_worker_threads(threads)
-                .queue_capacity(ROUNDS)
-                .durable(DurableShards::new(dir).compact_on_join(false)),
-        )
-        .unwrap();
-        let mut results = Vec::new();
-        for ops in &rounds[from..upto] {
-            let ticket = server.submit_as(0, ops.clone()).unwrap();
-            assert_eq!(server.seal_round(), 1);
-            let r = ticket.wait().unwrap();
-            results.push(BatchResult {
-                inserted: r.inserted,
-                deleted: r.deleted,
-                answers: r.answers,
-            });
-        }
-        let report = server.join().unwrap();
-        for shard in &report.shards {
-            // Shard WALs number *sub-rounds* (one per mutation segment
-            // that touched the shard), which resume where they left off.
-            assert!(shard.next_round.is_some(), "shard ran durable");
-        }
-        results
-    };
-
-    for worker_threads in [1usize, 2, 4] {
-        for &k in &crash_points(ROUNDS, 2, 31 + worker_threads as u64) {
-            let dir = scratch_dir(&format!("shard-kill-w{worker_threads}-k{k}"));
-            let head = serve(&dir, 0, k, worker_threads);
-            assert_eq!(head, expected[..k], "w={worker_threads} k={k}: head");
-
-            // Reopen: every shard (and the cross store) recovers from
-            // its own WAL; the tail replays byte-identically.
-            let tail = serve(&dir, k, ROUNDS, worker_threads);
-            assert_eq!(tail, expected[k..], "w={worker_threads} k={k}: tail");
+            // Reopen: the one WAL replays through a fresh sharded
+            // backend, and the tail replays byte-identically.
+            let tail = serve_sharded(&dir, k, ROUNDS, threads);
+            assert_eq!(tail, expected[k..], "w={threads} k={k}: tail");
 
             // The recovered ensemble's final structure matches the
             // never-crashed single backend: same edge set (per-shard
             // exports recombined), same global component count (through
             // the rebuilt boundary graph).
-            let server: ShardedServer<BatchDynamicConnectivity> = ShardedServer::start(
-                N,
-                ShardConfig::new()
-                    .shards(SHARDS)
-                    .kind(ShardMapKind::Hash)
-                    .durable(DurableShards::new(&dir)),
-            )
-            .unwrap();
+            let kind = dyncon_shard::ShardMapKind::Hash;
+            let server = sharded_server(&dir, N, 3, kind, true, threads).unwrap();
+            assert_eq!(server.newest_committed(), Some(ROUNDS as u64 - 1));
             let (edges, comps) = server
                 .inspect(|b| (b.export_edges(), b.num_components()))
                 .unwrap();
-            assert_eq!(edges, reference.export_edges(), "w={worker_threads} k={k}");
+            assert_eq!(edges, reference.export_edges(), "w={threads} k={k}");
             assert_eq!(
                 comps,
                 BatchDynamicConnectivity::num_components(&reference),
-                "w={worker_threads} k={k}"
+                "w={threads} k={k}"
             );
             server.join().unwrap();
             cleanup(&dir);
@@ -223,35 +232,115 @@ fn sharded_kill_at_round_k_recovers_every_shard_and_the_boundary() {
     }
 }
 
-/// The shard topology is durable state: reopening a base directory with
-/// a different partition must fail with a typed `Corrupt` error instead
-/// of scattering recovered edges across the wrong shards.
+/// Rounds are atomic across shards: tearing the single WAL inside its
+/// last record loses that whole round on every shard and the cross
+/// store, never a part of it.
 #[test]
-fn sharded_reopen_with_different_topology_is_rejected() {
-    use dyncon_shard::{DurableShards, ShardConfig, ShardMapKind, ShardedServer};
-    let dir = scratch_dir("shard-topology");
-    let open = |shards: usize, kind: ShardMapKind| {
-        ShardedServer::<BatchDynamicConnectivity>::start(
-            N,
-            ShardConfig::new()
-                .shards(shards)
-                .kind(kind)
-                .durable(DurableShards::new(&dir)),
-        )
-    };
-    open(2, ShardMapKind::Hash).unwrap().join().unwrap();
-    // Same topology reopens fine…
-    open(2, ShardMapKind::Hash).unwrap().join().unwrap();
-    // …different shard count or kind does not.
-    for (shards, kind) in [(3, ShardMapKind::Hash), (2, ShardMapKind::Range)] {
-        match open(shards, kind) {
-            Err(DynConError::Corrupt { path, detail, .. }) => {
-                assert!(path.ends_with("shard.manifest"), "{path}");
-                assert!(detail.contains("topology"), "{detail}");
-            }
-            Err(other) => panic!("expected Corrupt, got {other:?}"),
-            Ok(_) => panic!("topology mismatch must not open"),
+fn sharded_torn_round_is_lost_on_every_shard() {
+    use dyncon_api::Connectivity;
+    use dyncon_durable::recover_onto;
+    use dyncon_shard::{ShardConfig, ShardMap, ShardMapKind, ShardedBackend};
+    let rounds = canonical_rounds();
+    let (_, expected) = uninterrupted();
+    let k = 5;
+    let dir = scratch_dir("shard-torn");
+    serve_sharded(&dir, 0, k - 1, 2);
+    let wal_path = dir.join(WAL_FILE);
+    let before_last = std::fs::metadata(&wal_path).unwrap().len() as usize;
+    serve_sharded(&dir, k - 1, k, 2);
+    let bytes = std::fs::read(&wal_path).unwrap();
+    let torn = before_last + (bytes.len() - before_last) / 2;
+    std::fs::write(&wal_path, &bytes[..torn]).unwrap();
+
+    // The torn round touches at least two of the stores (shards and the
+    // cross store), so a partial application would show.
+    let oracle_at = |upto: usize| {
+        let mut g = NaiveDynamicGraph::new(N);
+        for ops in &rounds[..upto] {
+            g.apply(ops).unwrap();
         }
+        g
+    };
+    let (survived, full) = (oracle_at(k - 1), oracle_at(k));
+    let map = ShardMap::new(N, 3, ShardMapKind::Hash).unwrap();
+    let mut touched: Vec<Option<usize>> = survived
+        .export_edges()
+        .into_iter()
+        .filter(|e| !full.export_edges().contains(e))
+        .chain(
+            full.export_edges()
+                .into_iter()
+                .filter(|e| !survived.export_edges().contains(e)),
+        )
+        .map(|(u, v)| (!map.is_cross(u, v)).then(|| map.shard_of(u)))
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    assert!(touched.len() >= 2, "round {} touches {touched:?}", k - 1);
+
+    let config = ShardConfig::new().shards(3).kind(ShardMapKind::Hash);
+    let (mut recovered, meta) = recover_onto(&dir, |n| {
+        ShardedBackend::<BatchDynamicConnectivity>::new(n, &config, Default::default())
+    })
+    .unwrap();
+    assert!(meta.dropped_tail, "the torn record must be reported");
+    assert_eq!(meta.replayed_rounds, (k - 1) as u64);
+    assert_eq!(recovered.export_edges(), survived.export_edges());
+    let pairs: Vec<(u32, u32)> = (0..N as u32)
+        .flat_map(|u| (u + 1..N as u32).map(move |v| (u, v)))
+        .collect();
+    assert_eq!(
+        recovered.batch_connected(&pairs),
+        survived.batch_connected(&pairs)
+    );
+    // Replaying from the torn round on reproduces the uninterrupted
+    // results.
+    let tail: Vec<BatchResult> = rounds[k - 1..]
+        .iter()
+        .map(|ops| recovered.apply(ops).unwrap())
+        .collect();
+    assert_eq!(tail, expected[k - 1..]);
+    cleanup(&dir);
+}
+
+/// The partition is not durable state — the snapshot and the WAL hold
+/// global edges — so one directory reopens under any shard count or
+/// map kind with the same graph; only the vertex count must match.
+#[test]
+fn sharded_reopen_under_a_different_partition_recovers_the_same_graph() {
+    use dyncon_api::Connectivity;
+    use dyncon_shard::ShardMapKind;
+    let (reference, _) = uninterrupted();
+    let dir = scratch_dir("shard-partition");
+    serve_sharded(&dir, 0, ROUNDS, 2);
+    // Exactly one log plus one snapshot: no per-shard state.
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["snapshot.bin", WAL_FILE]);
+
+    let observe = |shards: usize, kind: ShardMapKind| {
+        // Each reopen compacts at join, so the next one starts from the
+        // snapshot written under the previous partition.
+        let server = sharded_server(&dir, N, shards, kind, true, 2).unwrap();
+        let seen = server
+            .inspect(|b| (b.export_edges(), b.num_components()))
+            .unwrap();
+        server.join().unwrap();
+        seen
+    };
+    let want = (
+        reference.export_edges(),
+        BatchDynamicConnectivity::num_components(&reference),
+    );
+    assert_eq!(observe(3, ShardMapKind::Hash), want, "3 hash shards, WAL");
+    assert_eq!(observe(2, ShardMapKind::Range), want, "2 range shards");
+    assert_eq!(observe(3, ShardMapKind::Hash), want, "3 hash shards again");
+    match sharded_server(&dir, 2 * N, 3, ShardMapKind::Hash, false, 2) {
+        Err(err) => assert_eq!(err, DynConError::InvalidVertexCount { requested: 2 * N }),
+        Ok(_) => panic!("a different vertex count must not open"),
     }
     cleanup(&dir);
 }

@@ -406,19 +406,17 @@ proptest! {
 }
 
 proptest! {
-    // Fewer cases than the in-process panel: every case spins up real
-    // server threads (10 writers plus their rayon pools across the
-    // three shard counts).
+    // Fewer cases than the in-process panel: every case drives three
+    // sharded ensembles (7 shard backends plus their cross stores).
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The sharding layer joins the differential property test:
     /// arbitrary random mixed-op batches through a
     /// [`ShardedBackend`](dyncon_shard::ShardedBackend) — whose
-    /// per-shard servers run real writer threads and whose cross-shard
-    /// queries go through the contracted boundary graph — must produce
-    /// `BatchResult`s byte-identical to the naive oracle at every
-    /// tested shard count, plus matching component aggregates and edge
-    /// sets.
+    /// cross-shard queries go through the contracted boundary graph —
+    /// must produce `BatchResult`s byte-identical to the naive oracle at
+    /// every tested shard count, plus matching component aggregates and
+    /// edge sets.
     #[test]
     fn sharded_differential_random_mixed_batches(
         batches in prop::collection::vec(
@@ -432,11 +430,8 @@ proptest! {
         let mut sharded: Vec<ShardedBackend<BatchDynamicConnectivity>> = [1usize, 2, 4]
             .iter()
             .map(|&shards| {
-                let config = ShardConfig::new()
-                    .shards(shards)
-                    .kind(ShardMapKind::Hash)
-                    .shard_worker_threads(2);
-                ShardedBackend::start(N as usize, &config, dyncon_metrics::Registry::new())
+                let config = ShardConfig::new().shards(shards).kind(ShardMapKind::Hash);
+                ShardedBackend::new(N as usize, &config, dyncon_metrics::Registry::new())
                     .unwrap()
             })
             .collect();
@@ -457,7 +452,6 @@ proptest! {
             prop_assert_eq!(g.num_components(), oracle.num_components());
             prop_assert_eq!(g.export_edges(), oracle.export_edges());
             g.check().map_err(TestCaseError::fail)?;
-            g.shutdown().map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
     }
 }

@@ -113,8 +113,8 @@ fn metrics_leave_deterministic_rounds_byte_identical() {
 /// **byte-identical** (ops and `BatchResult`s) at every shard count ×
 /// worker thread count combination — and identical to a single
 /// unsharded backend applying the same canonical rounds. The partition,
-/// the decomposition, the per-shard sealed sub-rounds and the boundary
-/// graph must all be invisible in the results.
+/// the decomposition, the per-shard sub-batches and the boundary graph
+/// must all be invisible in the results.
 #[test]
 fn sharded_rounds_byte_identical_across_shard_and_thread_counts() {
     use dyncon_shard::{ShardConfig, ShardMapKind, ShardedServer};

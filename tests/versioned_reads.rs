@@ -138,7 +138,7 @@ fn unsharded_views_match_oracle_replay_across_threads() {
 }
 
 /// The same matrix through the sharding layer: per-shard states and the
-/// boundary graph are pinned at one outer version, so the global view is
+/// boundary graph are pinned at one version, so the global view is
 /// byte-identical to the unsharded oracle at every shard count × thread
 /// count (shard counts from `DYNCON_SHARDS`, like the CI matrix).
 #[test]
